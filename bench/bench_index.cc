@@ -238,9 +238,9 @@ int main() {
     for (int rep = 0; rep < 3; ++rep) {
       StorePageIo sync_io(&store);
       AsyncPageIoOptions aopts;
-      aopts.backend = "pool";  // deterministic, as in bench_scan
       aopts.queue_depth = kQueueDepth;
       aopts.workers = kQueueDepth;
+      // No raw source => the worker pool: deterministic, as in bench_scan.
       auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
       if (!aio_io.ok()) return 1;
       HeapPlacement placement(kColdFrames);

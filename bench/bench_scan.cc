@@ -12,9 +12,10 @@
 //           overlaps both compute and the other reads in the batch.
 //
 // Device latency is injected (kLatency on "file.readat") so the ratio is
-// deterministic on any build box — the pool backend is forced for the same
-// reason (uring timing would measure the kernel, not the pipeline; the
-// uring path is covered for correctness by async_io_test). A second phase
+// deterministic on any build box. For the same reason the push side passes
+// no raw source, which selects the worker-pool backend (uring timing would
+// measure the kernel, not the pipeline; the uring path is covered for
+// correctness by async_io_test). A second phase
 // dirties pages and counts WAL durability gates per async bgwriter batch.
 //
 // Writes BENCH_scan.json (flat keys, one per line) for
@@ -109,9 +110,9 @@ ScanResult RunPull(AreaSegmentStore* store) {
 ScanResult RunPush(AreaSegmentStore* store, uint32_t depth) {
   StorePageIo sync_io(store);
   AsyncPageIoOptions aopts;
-  aopts.backend = "pool";  // deterministic; see header comment
   aopts.queue_depth = depth;
   aopts.workers = depth;
+  // No raw source => the worker pool: deterministic, see header comment.
   auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
   if (!aio_io.ok()) return {};
 
@@ -209,7 +210,6 @@ int main() {
   // ---- phase 2: async bgwriter batches, one WAL gate per batch -------------
   GateCountingIo gate_io(&store);
   AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
   aopts.queue_depth = 16;
   auto aio_io = MakeAsyncPageIo(aopts, &gate_io, nullptr);
   if (!aio_io.ok()) return 1;

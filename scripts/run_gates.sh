@@ -2,7 +2,9 @@
 # The whole release gate in one command: the full test suite across the
 # default, asan and tsan presets, then every scripts/check_*.sh regression
 # gate (bench scaling + overload degradation, recovery bound, scan
-# pipeline, metrics-off build-and-test, mutex discipline).
+# pipeline, metrics-off build-and-test, mutex discipline), then the
+# end-to-end benchmark's own unit tests (perfbench/test_*.py; they only
+# read perfbench/).
 #
 # Suite notes:
 #   - the default preset runs everything, torture harnesses included
@@ -40,6 +42,11 @@ for check in scripts/check_*.sh; do
   echo "==== gate: $check ===="
   sh "$check" || fail "$check"
 done
+
+echo ""
+echo "==== perfbench unit tests ===="
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py' ||
+  fail "perfbench unit tests"
 
 echo ""
 if [ "$rc" -ne 0 ]; then

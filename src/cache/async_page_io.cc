@@ -1,6 +1,5 @@
 #include "cache/async_page_io.h"
 
-#include <atomic>
 #include <cstring>
 #include <chrono>
 #include <condition_variable>
@@ -10,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "os/fault_injection.h"
 #include "util/config.h"
 
 namespace bess {
@@ -43,18 +41,14 @@ class WorkerPoolPageIo final : public AsyncPageIo {
     if (n == 0) return Status::OK();
     std::lock_guard<std::mutex> lk(mu_);
     if (stopped_) return Status::Aborted("async page io stopped");
-    uint64_t now = inflight_.fetch_add(n, std::memory_order_acq_rel) + n;
-    uint64_t seen = max_inflight_.load(std::memory_order_relaxed);
-    while (now > seen && !max_inflight_.compare_exchange_weak(
-                             seen, now, std::memory_order_relaxed)) {
-    }
+    book_.Submitted(n);
     for (uint32_t i = 0; i < n; ++i) queue_.push_back(reqs[i]);
     work_cv_.notify_all();
     return Status::OK();
   }
 
   uint32_t Reap(Completion* out, uint32_t max, uint32_t timeout_ms) override {
-    return mailbox_.Reap(out, max, timeout_ms);
+    return book_.Reap(out, max, timeout_ms);
   }
 
   void Shutdown() override {
@@ -69,35 +63,22 @@ class WorkerPoolPageIo final : public AsyncPageIo {
   }
 
   const char* backend() const override { return "pool"; }
-
-  aio::AioStats stats() const override {
-    aio::AioStats s;
-    s.reads = reads_.load(std::memory_order_relaxed);
-    s.writes = writes_.load(std::memory_order_relaxed);
-    s.errors = errors_.load(std::memory_order_relaxed);
-    s.short_fixups = short_fixups_.load(std::memory_order_relaxed);
-    s.reorders = mailbox_.reorders();
-    s.max_inflight = max_inflight_.load(std::memory_order_relaxed);
-    s.io_busy_ns = io_busy_ns_.load(std::memory_order_relaxed);
-    s.read_runs = read_runs_.load(std::memory_order_relaxed);
-    s.write_runs = write_runs_.load(std::memory_order_relaxed);
-    return s;
-  }
+  aio::AioStats stats() const override { return book_.stats(); }
 
  private:
-  /// Longest read run one worker services as a single device op. Bounds the
+  /// Longest run one worker services as a single device op. Bounds the
   /// scratch buffer (64 KiB) and keeps other workers fed at deep queues.
   static constexpr uint32_t kMaxRunPages = 16;
 
   void WorkerMain() {
-    std::vector<Request> run;
+    Request run[kMaxRunPages];
     for (;;) {
-      run.clear();
+      uint32_t n = 0;
       {
         std::unique_lock<std::mutex> lk(mu_);
         work_cv_.wait(lk, [&] { return stopped_ || !queue_.empty(); });
         if (queue_.empty()) return;  // stopped and drained
-        run.push_back(queue_.front());
+        run[n++] = queue_.front();
         queue_.pop_front();
         // Batched transfers: queued requests of the same kind for
         // consecutive keys ride one device op (FetchRun / WriteRun) —
@@ -106,195 +87,82 @@ class WorkerPoolPageIo final : public AsyncPageIo {
         // natural runs sit adjacent at the queue head; a gap, a kind
         // switch, or a key whose page field would carry into the area bits
         // ends the run.
-        while (run.size() < kMaxRunPages && !queue_.empty() &&
-               queue_.front().write == run.front().write &&
-               (run.back().key & 0xFFFFFFFFull) != 0xFFFFFFFFull &&
-               queue_.front().key == run.back().key + 1) {
-          run.push_back(queue_.front());
+        while (n < kMaxRunPages && !queue_.empty() &&
+               queue_.front().write == run[0].write &&
+               (run[n - 1].key & 0xFFFFFFFFull) != 0xFFFFFFFFull &&
+               queue_.front().key == run[n - 1].key + 1) {
+          run[n++] = queue_.front();
           queue_.pop_front();
         }
       }
-      if (run.size() == 1) {
-        Execute(run[0]);
-      } else if (run.front().write) {
-        ExecuteWriteRun(run);
-      } else {
-        ExecuteReadRun(run);
-      }
+      ExecuteRun(run, n);
     }
   }
 
-  void Execute(const Request& req) {
-    uint64_t t0 = NowNs();
-    (req.write ? writes_ : reads_).fetch_add(1, std::memory_order_relaxed);
-    Status st;
-    fault::FaultOutcome out;
-    if (fault::Armed()) {
-      out = fault::FaultRegistry::Instance().EvaluateIo(
-          req.write ? "aio.write" : "aio.read", "", kPageSize);
-      if (out.crash) fault::FaultRegistry::CrashNow();
-    }
-    Status err;
-    size_t first_cap = kPageSize;
-    if (aio::AioFaultFails(out, kPageSize, &err, &first_cap)) {
-      st = err;
-    } else {
-      st = req.write ? sync_->Write(req.key, req.buf)
-                     : sync_->Fetch(req.key, req.buf);
-      if (st.ok() && first_cap < kPageSize) {
-        // Injected short completion: the synchronous backend has no partial
-        // transfer to resume, so a read is re-issued whole — the loop-to-
-        // complete contract holds; the caller still sees one completion.
-        short_fixups_.fetch_add(1, std::memory_order_relaxed);
-        if (!req.write) st = sync_->Fetch(req.key, req.buf);
+  /// Services `n` requests of one kind for consecutive keys; a single
+  /// request is a run of one. Faults evaluate per request: a mid-run
+  /// io_error fails only its own page, and an injected short count is
+  /// looped whole — the synchronous store has no partial transfer to
+  /// resume, so the one full transfer below already completes it. Each
+  /// fault-free stretch goes to the device as one transfer, and every
+  /// request gets its own completion.
+  void ExecuteRun(const Request* run, uint32_t n) {
+    const bool write = run[0].write;
+    const uint64_t t0 = NowNs();
+    (write ? book_.writes : book_.reads)
+        .fetch_add(n, std::memory_order_relaxed);
+    Status st[kMaxRunPages];
+    uint32_t stretch = 0;  // first request of the current fault-free stretch
+    for (uint32_t i = 0; i <= n; ++i) {
+      if (i < n) {
+        size_t first_cap = kPageSize;
+        st[i] = aio::ApplyIoFault(write ? aio::Op::kWrite : aio::Op::kRead,
+                                  kPageSize, &first_cap);
+        if (st[i].ok()) {
+          if (first_cap < kPageSize) {
+            book_.short_fixups.fetch_add(1, std::memory_order_relaxed);
+          }
+          continue;
+        }
       }
+      if (i > stretch) Transfer(run + stretch, i - stretch, st + stretch);
+      stretch = i + 1;
     }
-    if (!st.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-    (req.write ? write_runs_ : read_runs_)
+    book_.io_busy_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+    for (uint32_t k = 0; k < n; ++k) {
+      book_.Complete(
+          Completion{run[k].user_data, st[k], st[k].ok() ? kPageSize : 0});
+    }
+  }
+
+  /// One device op for `n` consecutive pages, results into st[0..n). A
+  /// single page moves straight between the store and the caller's buffer;
+  /// a longer run goes through one contiguous scratch buffer, and if it
+  /// fails as a unit each page is retried alone so one bad page cannot
+  /// fail its neighbours. (Writes drop the request LSN, like every
+  /// synchronous write-back: EnsureWalDurable gated the batch upstream.)
+  void Transfer(const Request* run, uint32_t n, Status* st) {
+    const bool write = run[0].write;
+    (write ? book_.write_runs : book_.read_runs)
         .fetch_add(1, std::memory_order_relaxed);
-    io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    Completion c;
-    c.user_data = req.user_data;
-    c.status = st;
-    c.bytes = st.ok() ? kPageSize : 0;
-    bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-    mailbox_.Deliver(c, last);
-  }
-
-  /// Services a coalesced run of `n` reads for consecutive keys with one
-  /// FetchRun. Fault evaluation stays per request — a mid-run io_error fails
-  /// only its own request, a short injected count still completes at full
-  /// length — so the aio fault matrix observes the same semantics as
-  /// uncoalesced singles, and each request gets its own completion.
-  void ExecuteReadRun(const std::vector<Request>& run) {
-    const uint32_t n = static_cast<uint32_t>(run.size());
-    const uint64_t t0 = NowNs();
-    reads_.fetch_add(n, std::memory_order_relaxed);
-    std::vector<Status> st(n, Status::OK());
-    std::vector<bool> faulted(n, false);
-    if (fault::Armed()) {
-      for (uint32_t i = 0; i < n; ++i) {
-        fault::FaultOutcome out = fault::FaultRegistry::Instance().EvaluateIo(
-            "aio.read", "", kPageSize);
-        if (out.crash) fault::FaultRegistry::CrashNow();
-        Status err;
-        size_t first_cap = kPageSize;
-        if (aio::AioFaultFails(out, kPageSize, &err, &first_cap)) {
-          st[i] = err;
-          faulted[i] = true;
-        } else if (first_cap < kPageSize) {
-          // Injected short count: the run transfer below reads full length
-          // anyway (the loop-to-complete contract); record the fixup.
-          short_fixups_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+    if (n == 1) {
+      st[0] = write ? sync_->Write(run[0].key, run[0].buf)
+                    : sync_->Fetch(run[0].key, run[0].buf);
+      return;
     }
-    std::vector<char> scratch;
-    uint32_t i = 0;
-    while (i < n) {
-      if (faulted[i]) {
-        ++i;
-        continue;
-      }
-      uint32_t j = i + 1;
-      while (j < n && !faulted[j]) ++j;
-      const uint32_t len = j - i;
-      scratch.resize(static_cast<size_t>(len) * kPageSize);
-      const Status rs = sync_->FetchRun(run[i].key, len, scratch.data());
-      read_runs_.fetch_add(1, std::memory_order_relaxed);
-      if (rs.ok()) {
-        for (uint32_t k = 0; k < len; ++k) {
-          memcpy(run[i + k].buf,
-                 scratch.data() + static_cast<size_t>(k) * kPageSize,
-                 kPageSize);
-        }
-      } else {
-        // The run fetch fails as a unit; retry each page alone so one bad
-        // page cannot fail its neighbours' requests.
-        for (uint32_t k = 0; k < len; ++k) {
-          st[i + k] = sync_->Fetch(run[i + k].key, run[i + k].buf);
-          read_runs_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      i = j;
+    std::vector<char> scratch(static_cast<size_t>(n) * kPageSize);
+    auto page = [&](uint32_t k) {
+      return scratch.data() + size_t{k} * kPageSize;
+    };
+    if (write) {
+      for (uint32_t k = 0; k < n; ++k) memcpy(page(k), run[k].buf, kPageSize);
     }
-    io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    for (uint32_t k = 0; k < n; ++k) {
-      if (!st[k].ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-      Completion c;
-      c.user_data = run[k].user_data;
-      c.status = st[k];
-      c.bytes = st[k].ok() ? kPageSize : 0;
-      const bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-      mailbox_.Deliver(c, last);
-    }
-  }
-
-  /// Services a coalesced run of `n` writes for consecutive keys with one
-  /// WriteRun. Mirrors ExecuteReadRun: faults evaluate per request (a
-  /// mid-run io_error drops only its own page out of the run), a failed run
-  /// transfer retries each page alone, and every request gets its own
-  /// completion. Note the synchronous single-write path drops the request
-  /// LSN too — EnsureWalDurable already gated the batch upstream.
-  void ExecuteWriteRun(const std::vector<Request>& run) {
-    const uint32_t n = static_cast<uint32_t>(run.size());
-    const uint64_t t0 = NowNs();
-    writes_.fetch_add(n, std::memory_order_relaxed);
-    std::vector<Status> st(n, Status::OK());
-    std::vector<bool> faulted(n, false);
-    if (fault::Armed()) {
-      for (uint32_t i = 0; i < n; ++i) {
-        fault::FaultOutcome out = fault::FaultRegistry::Instance().EvaluateIo(
-            "aio.write", "", kPageSize);
-        if (out.crash) fault::FaultRegistry::CrashNow();
-        Status err;
-        size_t first_cap = kPageSize;
-        if (aio::AioFaultFails(out, kPageSize, &err, &first_cap)) {
-          st[i] = err;
-          faulted[i] = true;
-        } else if (first_cap < kPageSize) {
-          // Injected short count: WriteRun below transfers full length
-          // anyway (loop-to-complete); record the fixup.
-          short_fixups_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    std::vector<char> scratch;
-    uint32_t i = 0;
-    while (i < n) {
-      if (faulted[i]) {
-        ++i;
-        continue;
-      }
-      uint32_t j = i + 1;
-      while (j < n && !faulted[j]) ++j;
-      const uint32_t len = j - i;
-      scratch.resize(static_cast<size_t>(len) * kPageSize);
-      for (uint32_t k = 0; k < len; ++k) {
-        memcpy(scratch.data() + static_cast<size_t>(k) * kPageSize,
-               run[i + k].buf, kPageSize);
-      }
-      const Status ws = sync_->WriteRun(run[i].key, len, scratch.data());
-      write_runs_.fetch_add(1, std::memory_order_relaxed);
-      if (!ws.ok()) {
-        // The run write fails as a unit; retry each page alone so one bad
-        // page cannot fail its neighbours' requests.
-        for (uint32_t k = 0; k < len; ++k) {
-          st[i + k] = sync_->Write(run[i + k].key, run[i + k].buf);
-          write_runs_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      i = j;
-    }
-    io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    for (uint32_t k = 0; k < n; ++k) {
-      if (!st[k].ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-      Completion c;
-      c.user_data = run[k].user_data;
-      c.status = st[k];
-      c.bytes = st[k].ok() ? kPageSize : 0;
-      const bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-      mailbox_.Deliver(c, last);
+    const Status rs = write ? sync_->WriteRun(run[0].key, n, scratch.data())
+                            : sync_->FetchRun(run[0].key, n, scratch.data());
+    if (!rs.ok()) {
+      for (uint32_t k = 0; k < n; ++k) Transfer(run + k, 1, st + k);
+    } else if (!write) {
+      for (uint32_t k = 0; k < n; ++k) memcpy(run[k].buf, page(k), kPageSize);
     }
   }
 
@@ -303,17 +171,8 @@ class WorkerPoolPageIo final : public AsyncPageIo {
   std::condition_variable work_cv_;
   std::deque<Request> queue_;
   bool stopped_ = false;
+  aio::AioBook book_;
   std::vector<std::thread> threads_;
-  aio::CompletionMailbox mailbox_;
-  std::atomic<uint64_t> inflight_{0};
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> short_fixups_{0};
-  std::atomic<uint64_t> max_inflight_{0};
-  std::atomic<uint64_t> io_busy_ns_{0};
-  std::atomic<uint64_t> read_runs_{0};
-  std::atomic<uint64_t> write_runs_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -412,7 +271,7 @@ class FileEnginePageIo final : public AsyncPageIo {
 
   void Shutdown() override { engine_->Shutdown(); }
 
-  const char* backend() const override { return engine_->backend(); }
+  const char* backend() const override { return "uring"; }
   aio::AioStats stats() const override { return engine_->stats(); }
 
  private:
@@ -440,25 +299,14 @@ class FileEnginePageIo final : public AsyncPageIo {
 Result<std::unique_ptr<AsyncPageIo>> MakeAsyncPageIo(
     const AsyncPageIoOptions& options, FrameTable::PageIo* sync_io,
     aio::RawPageSource* raw) {
-  if (options.backend == "off") {
-    return Status::InvalidArgument("async backend is off");
-  }
-  if (options.backend != "auto" && options.backend != "uring" &&
-      options.backend != "pool") {
-    return Status::InvalidArgument("unknown async backend: " +
-                                   options.backend);
-  }
-  const bool want_uring =
-      options.backend != "pool" && raw != nullptr &&
-      (options.backend == "uring" || aio::AsyncFileEngine::UringSupported());
-  if (want_uring) {
-    aio::AsyncFileEngine::Options eo;
-    eo.backend = options.backend == "pool" ? "pool" : options.backend;
-    eo.queue_depth = options.queue_depth;
-    eo.workers = options.workers;
-    BESS_ASSIGN_OR_RETURN(auto engine, aio::AsyncFileEngine::Create(eo));
-    return std::unique_ptr<AsyncPageIo>(std::make_unique<FileEnginePageIo>(
-        std::move(engine), raw, sync_io));
+  if (raw != nullptr && aio::AsyncFileEngine::UringSupported()) {
+    auto engine = aio::AsyncFileEngine::Create(
+        aio::AsyncFileEngine::Options{options.queue_depth});
+    // Ring setup can still fail (resource limits): the pool serves then.
+    if (engine.ok()) {
+      return std::unique_ptr<AsyncPageIo>(std::make_unique<FileEnginePageIo>(
+          std::move(*engine), raw, sync_io));
+    }
   }
   if (sync_io == nullptr) {
     return Status::InvalidArgument(

@@ -3,21 +3,26 @@
 //
 // Callers submit vectors of whole-page reads/writes keyed by packed
 // PageAddr and reap completions; `user_data` is the caller's correlation
-// token (the frame table uses the frame index). Two implementations are
-// selected at runtime by MakeAsyncPageIo:
+// token (the frame table uses the frame index). MakeAsyncPageIo picks one
+// of two implementations from its inputs — there is no backend knob:
 //
-//   WorkerPoolPageIo     emulation over any synchronous FrameTable::PageIo
-//       (SegmentStore, RPC, in-memory test store). Works everywhere,
-//       inherits that backend's fault points, and additionally applies the
-//       "aio.read"/"aio.write"/"aio.reorder" schedules so the async fault
-//       matrix runs even without real files.
-//   FileEnginePageIo     an os/async_io.h AsyncFileEngine (io_uring when
-//       the kernel has it) over a RawPageSource that resolves keys to
-//       (fd, offset) and re-applies the storage integrity envelope —
-//       CRC/LSN trailer verification after reads, trailer stamping after
-//       writes — so the raw path detects exactly what ReadPages/WritePages
-//       detect. Pages that are not raw-reachable (quarantined, unknown
-//       area) transparently fall back to the synchronous PageIo.
+//   FileEnginePageIo     when a RawPageSource is given and the kernel has
+//       io_uring: the os/async_io.h engine over a source that resolves keys
+//       to (fd, offset) and re-applies the storage integrity envelope —
+//       CRC/LSN trailer verification after reads (RawPageSource::FinishRead),
+//       trailer stamping after writes (FinishWrite) — so the raw path
+//       detects exactly what ReadPages/WritePages detect. Pages that are not
+//       raw-reachable (quarantined, unknown area) transparently fall back to
+//       the synchronous PageIo.
+//   WorkerPoolPageIo     otherwise: the one worker pool, over any
+//       synchronous FrameTable::PageIo (SegmentStore, RPC, in-memory test
+//       store, an index area). Queued requests of one kind for consecutive
+//       keys merge into runs (FetchRun/WriteRun); a single request is a run
+//       of one and moves straight into or out of the caller's buffer.
+//
+// Both apply the "aio.read"/"aio.write" schedules through aio::ApplyIoFault
+// and deliver through aio::AioBook ("aio.reorder"), so the async fault
+// matrix behaves the same on either, even without real files.
 //
 // Contract shared by both: every accepted request produces exactly one
 // completion; completions may arrive in any order; a request completes with
@@ -27,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "cache/frame_table.h"
 #include "os/async_io.h"
@@ -66,16 +70,12 @@ class AsyncPageIo {
 };
 
 struct AsyncPageIoOptions {
-  /// "auto" = uring when a RawPageSource is given and the kernel supports
-  /// it, else the worker pool. "uring"/"pool" force (uring still falls back
-  /// at runtime when unsupported). "off" is rejected — gate at the caller.
-  std::string backend = "auto";
   uint32_t queue_depth = 16;
-  uint32_t workers = 4;  ///< pool backend only
+  uint32_t workers = 4;  ///< worker pool only
 };
 
-/// Runtime backend selection. `sync_io` backs the worker pool and the raw
-/// path's fallback; `raw` (optional) enables the file-engine path.
+/// io_uring when `raw` is given and the kernel supports it, else the worker
+/// pool over `sync_io` (which also backs the raw path's fallback).
 Result<std::unique_ptr<AsyncPageIo>> MakeAsyncPageIo(
     const AsyncPageIoOptions& options, FrameTable::PageIo* sync_io,
     aio::RawPageSource* raw = nullptr);

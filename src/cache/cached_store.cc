@@ -8,15 +8,12 @@ CachedSegmentStore::CachedSegmentStore(SegmentStore* inner, Options options)
     : inner_(inner), options_(options),
       placement_(options.frame_count == 0 ? 1 : options.frame_count),
       io_(inner) {
-  if (options_.async_backend != "off") {
-    AsyncPageIoOptions aopts;
-    aopts.backend = options_.async_backend;
-    aopts.queue_depth = options_.async_queue_depth;
-    aopts.workers = options_.async_workers;
-    auto made = MakeAsyncPageIo(aopts, &io_, options_.raw_source);
-    // A backend that cannot be built (bad name) degrades to synchronous
-    // paths rather than failing the cache; Init-time callers can check
-    // async_backend() when they require the push pipeline.
+  if (options_.use_async) {
+    auto made = MakeAsyncPageIo(
+        AsyncPageIoOptions{options_.async_queue_depth, options_.async_workers},
+        &io_, options_.raw_source);
+    // The pool over io_ always builds; should it not, the cache degrades to
+    // synchronous paths (async_backend() reports "off") rather than failing.
     if (made.ok()) async_io_ = std::move(*made);
   }
   FrameTable::Options topts;

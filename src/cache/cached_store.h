@@ -21,7 +21,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 
 #include "cache/async_page_io.h"
 #include "cache/frame_table.h"
@@ -42,14 +41,13 @@ class CachedSegmentStore : public SegmentStore, public PrefetchSink {
     /// table mutex) when a write-back finalizes a frame clean.
     std::function<void(uint64_t key, uint64_t rec_lsn)> on_cleaned;
 
-    /// Batched async backend for prefetch and push-based scans:
-    /// "off" (default) keeps the classic synchronous paths;
-    /// "auto"/"uring"/"pool" select an AsyncPageIo (see async_page_io.h).
-    std::string async_backend = "off";
+    /// Batched async I/O for prefetch and push-based scans; off keeps the
+    /// classic synchronous paths. MakeAsyncPageIo picks the backend.
+    bool use_async = false;
     uint32_t async_queue_depth = 16;
     uint32_t async_workers = 4;
-    /// Raw (fd, offset) resolver enabling the io_uring path; null limits
-    /// backend selection to the worker pool over the inner store.
+    /// Raw (fd, offset) resolver enabling the io_uring path; null means the
+    /// worker pool over the inner store.
     aio::RawPageSource* raw_source = nullptr;
   };
 

@@ -159,9 +159,9 @@ Status BTreeIndex::InitRuntime() {
   placement_ = std::make_unique<LatchedPlacement>(opts_.cache_frames);
   if (opts_.use_async) {
     AsyncPageIoOptions ao;
-    ao.backend = "pool";
     ao.queue_depth = opts_.async_queue_depth;
     ao.workers = opts_.async_workers;
+    // No raw source: the index area is served by the worker pool.
     BESS_ASSIGN_OR_RETURN(aio_, MakeAsyncPageIo(ao, io_.get()));
   }
   FrameTable::Options fo;

@@ -496,24 +496,47 @@ Status Database::LoadCatalog() {
   return Status::OK();
 }
 
-Status Database::SaveCatalogLocked() {
-  if (!catalog_dirty_) return Status::OK();
+Status Database::EncodeCatalogBlobLocked(std::string* blob) const {
   std::string payload;
   EncodeCatalogLocked(&payload);
-  std::string blob(static_cast<size_t>(kCatalogPages) * kPageSize, '\0');
-  if (payload.size() + 12 > blob.size()) {
+  blob->assign(static_cast<size_t>(kCatalogPages) * kPageSize, '\0');
+  if (payload.size() + 12 > blob->size()) {
     return Status::NoSpace("catalog exceeds its segment (" +
                            std::to_string(payload.size()) + " bytes)");
   }
-  EncodeFixed32(blob.data(), kCatalogMagic);
-  EncodeFixed32(blob.data() + 4, static_cast<uint32_t>(payload.size()));
-  EncodeFixed32(blob.data() + 8,
+  EncodeFixed32(blob->data(), kCatalogMagic);
+  EncodeFixed32(blob->data() + 4, static_cast<uint32_t>(payload.size()));
+  EncodeFixed32(blob->data() + 8,
                 crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  memcpy(blob.data() + 12, payload.data(), payload.size());
+  memcpy(blob->data() + 12, payload.data(), payload.size());
+  return Status::OK();
+}
+
+Status Database::SaveCatalogLocked() {
+  if (!catalog_dirty_) return Status::OK();
+  std::string blob;
+  BESS_RETURN_IF_ERROR(EncodeCatalogBlobLocked(&blob));
   StorageArea* a0 = AreaOrNull(0);
   if (a0 == nullptr) return Status::NotFound("no storage area 0");
+  Lsn lsn = kNullLsn;
+  if (wal_ != nullptr) {
+    // Redo replays every logged catalog image in log order, and commits log
+    // the catalog they change. A save that bypassed the log would be
+    // overwritten by an older committed image on restart, so the direct
+    // save logs its image too (redo-only, no transaction) and flushes it
+    // before the pages reach the area: the newest image is always last.
+    for (uint32_t p = 0; p < kCatalogPages; ++p) {
+      LogRecord img;
+      img.type = LogRecordType::kFullPageImage;
+      img.page = PageAddr{options_.db_id, 0, kCatalogFirstPage + p};
+      img.after.assign(blob.data() + static_cast<size_t>(p) * kPageSize,
+                       kPageSize);
+      BESS_ASSIGN_OR_RETURN(lsn, wal_->AppendUnthrottled(img));
+    }
+    BESS_RETURN_IF_ERROR(wal_->Flush(lsn));
+  }
   BESS_RETURN_IF_ERROR(
-      a0->WritePages(kCatalogFirstPage, kCatalogPages, blob.data()));
+      a0->WritePages(kCatalogFirstPage, kCatalogPages, blob.data(), lsn));
   catalog_dirty_ = false;
   return Status::OK();
 }
@@ -972,18 +995,8 @@ Status Database::Commit(Txn* txn, CommitStats* out) {
     std::lock_guard<std::mutex> guard(meta_mutex_);
     if (catalog_dirty_) {
       // The catalog rides along in the same atomic commit.
-      std::string payload;
-      EncodeCatalogLocked(&payload);
-      std::string blob(static_cast<size_t>(kCatalogPages) * kPageSize, '\0');
-      if (payload.size() + 12 > blob.size()) {
-        return Status::NoSpace("catalog exceeds its segment");
-      }
-      EncodeFixed32(blob.data(), kCatalogMagic);
-      EncodeFixed32(blob.data() + 4, static_cast<uint32_t>(payload.size()));
-      EncodeFixed32(
-          blob.data() + 8,
-          crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-      memcpy(blob.data() + 12, payload.data(), payload.size());
+      std::string blob;
+      BESS_RETURN_IF_ERROR(EncodeCatalogBlobLocked(&blob));
       for (uint32_t p = 0; p < kCatalogPages; ++p) {
         PageImage img;
         img.db = options_.db_id;
@@ -1180,10 +1193,10 @@ Result<Index> Database::CreateIndex(const std::string& name) {
     }
     index_catalog_[name] = id;
     catalog_dirty_ = true;
-    // Creation is made durable by the catalog save, not the WAL — which
-    // means the save must be synced here: the direct catalog write has no
-    // WAL image to redo from, and its trailer stamp only reaches the file
-    // on Sync (a commit-riding catalog save gets both from ForcePages).
+    // Creation is made durable by the catalog save: it logs and flushes
+    // the catalog image when the WAL is on, and without a WAL only this
+    // sync makes it durable (the trailer stamp also reaches the file only
+    // on Sync; a commit-riding catalog save gets both from ForcePages).
     BESS_RETURN_IF_ERROR(SaveCatalogLocked());
     StorageArea* a0 = AreaOrNull(0);
     if (a0 == nullptr) return Status::NotFound("no storage area 0");

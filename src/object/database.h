@@ -366,6 +366,8 @@ class Database {
   Status LoadCatalog();
   Status SaveCatalogLocked();
   void EncodeCatalogLocked(std::string* out) const;
+  /// The catalog segment image: header (magic, length, CRC) + payload.
+  Status EncodeCatalogBlobLocked(std::string* blob) const;
   Result<SegmentId> NewObjectSegmentLocked(FileInfo* file, uint32_t min_data_bytes);
   Result<Slot*> CreateSmallObject(FileInfo* file, TypeIdx type, uint32_t size,
                                   const void* init, uint16_t extra_flags);

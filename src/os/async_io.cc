@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "os/fault_injection.h"
 
@@ -25,80 +27,43 @@
 namespace bess {
 namespace aio {
 
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// pread/pwrite the request whole, capping the first syscall at `first_cap`
-/// to surface injected short counts to the loop. A cap of 0 is skipped (a
-/// zero-byte syscall makes no progress).
-Status FullTransfer(const AioRequest& req, size_t first_cap) {
-  char* p = static_cast<char*>(req.buf);
-  uint64_t off = req.offset;
-  size_t left = req.len;
-  bool first = true;
-  while (left > 0) {
-    size_t want = left;
-    if (first && first_cap > 0 && first_cap < want) want = first_cap;
-    first = false;
-    ssize_t r = req.op == Op::kRead
-                    ? pread(req.fd, p, want, static_cast<off_t>(off))
-                    : pwrite(req.fd, p, want, static_cast<off_t>(off));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string(req.op == Op::kRead ? "pread: "
-                                                             : "pwrite: ") +
-                             strerror(errno));
-    }
-    if (r == 0) {
-      // A write of 0 never terminates and a read of 0 is EOF mid-page:
-      // either way the transfer cannot complete — fail loudly rather than
-      // hand back a truncated page.
-      return Status::IOError("short transfer: no progress at offset " +
-                             std::to_string(off));
-    }
-    p += r;
-    off += static_cast<uint64_t>(r);
-    left -= static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-bool AioFaultFails(const fault::FaultOutcome& out, size_t len, Status* error,
-                   size_t* first_cap) {
+Status ApplyIoFault(Op op, size_t len, size_t* first_cap) {
   *first_cap = len;
+  if (!fault::Armed()) return Status::OK();
+  const fault::FaultOutcome out = fault::FaultRegistry::Instance().EvaluateIo(
+      op == Op::kRead ? "aio.read" : "aio.write", "", len);
+  if (out.crash) fault::FaultRegistry::CrashNow();
   if (out.bytes_allowed < len && !out.status.IsNoSpace()) {
     // kShortWrite/kTornPage at an aio point = short completion, recoverable.
     *first_cap = out.bytes_allowed;
-    return false;
+    return Status::OK();
   }
-  if (!out.status.ok()) {
-    *error = out.status;
-    return true;
-  }
-  return false;
+  return out.status;
 }
 
 // ---------------------------------------------------------------------------
-// CompletionMailbox
+// AioBook
 
-void CompletionMailbox::Deliver(AioCompletion c, bool last_inflight) {
+void AioBook::Submitted(uint32_t n) {
+  const uint64_t now = inflight.fetch_add(n, std::memory_order_acq_rel) + n;
+  uint64_t seen = max_inflight.load(std::memory_order_relaxed);
+  while (now > seen && !max_inflight.compare_exchange_weak(
+                           seen, now, std::memory_order_relaxed)) {
+  }
+}
+
+void AioBook::Complete(const AioCompletion& c) {
+  if (!c.status.ok()) errors.fetch_add(1, std::memory_order_relaxed);
+  const bool last = inflight.fetch_sub(1, std::memory_order_acq_rel) == 1;
   std::lock_guard<std::mutex> lk(mu_);
   // "aio.reorder": hold this completion back until a later one passes it.
-  // The engine's final in-flight completion is never deferred, and Reap
-  // flushes stragglers on timeout — reordering can delay, never lose.
-  if (fault::Armed() && !last_inflight) {
+  // The final in-flight completion is never deferred, and Reap flushes
+  // stragglers on timeout — reordering can delay, never lose.
+  if (fault::Armed() && !last) {
     Status s = fault::FaultRegistry::Instance().Evaluate("aio.reorder", "");
     if (!s.ok()) {
       deferred_.push_back(c);
-      reorders_.fetch_add(1, std::memory_order_relaxed);
+      reorders.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
@@ -110,8 +75,7 @@ void CompletionMailbox::Deliver(AioCompletion c, bool last_inflight) {
   cv_.notify_all();
 }
 
-uint32_t CompletionMailbox::Reap(AioCompletion* out, uint32_t max,
-                                 uint32_t timeout_ms) {
+uint32_t AioBook::Reap(AioCompletion* out, uint32_t max, uint32_t timeout_ms) {
   std::unique_lock<std::mutex> lk(mu_);
   if (ready_.empty() && timeout_ms > 0) {
     cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms),
@@ -132,175 +96,62 @@ uint32_t CompletionMailbox::Reap(AioCompletion* out, uint32_t max,
   return n;
 }
 
-// ---------------------------------------------------------------------------
-// Shared engine state (stats + mailbox + inflight accounting)
+AioStats AioBook::stats() const {
+  AioStats s;
+  s.reads = reads.load(std::memory_order_relaxed);
+  s.writes = writes.load(std::memory_order_relaxed);
+  s.errors = errors.load(std::memory_order_relaxed);
+  s.short_fixups = short_fixups.load(std::memory_order_relaxed);
+  s.reorders = reorders.load(std::memory_order_relaxed);
+  s.max_inflight = max_inflight.load(std::memory_order_relaxed);
+  s.io_busy_ns = io_busy_ns.load(std::memory_order_relaxed);
+  s.read_runs = read_runs.load(std::memory_order_relaxed);
+  s.write_runs = write_runs.load(std::memory_order_relaxed);
+  return s;
+}
 
 namespace {
-
-class EngineBase : public AsyncFileEngine {
- public:
-  uint32_t Reap(AioCompletion* out, uint32_t max, uint32_t timeout_ms) final {
-    return mailbox_.Reap(out, max, timeout_ms);
-  }
-
-  AioStats stats() const final {
-    AioStats s;
-    s.reads = reads_.load(std::memory_order_relaxed);
-    s.writes = writes_.load(std::memory_order_relaxed);
-    s.errors = errors_.load(std::memory_order_relaxed);
-    s.short_fixups = short_fixups_.load(std::memory_order_relaxed);
-    s.reorders = mailbox_.reorders();
-    s.max_inflight = max_inflight_.load(std::memory_order_relaxed);
-    s.io_busy_ns = io_busy_ns_.load(std::memory_order_relaxed);
-    return s;
-  }
-
- protected:
-  void NoteSubmitted(uint32_t n) {
-    uint64_t now = inflight_.fetch_add(n, std::memory_order_acq_rel) + n;
-    uint64_t seen = max_inflight_.load(std::memory_order_relaxed);
-    while (now > seen &&
-           !max_inflight_.compare_exchange_weak(seen, now,
-                                                std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Runs the per-request fault schedule, finishes the transfer (with
-  /// short-count fixup) or fails it, and delivers the completion. `moved`
-  /// is what the backend already transferred (pool: 0, uring: cqe->res).
-  void FinishRequest(const AioRequest& req, Status backend_status,
-                     size_t moved) {
-    uint64_t t0 = NowNs();
-    AioCompletion c;
-    c.user_data = req.user_data;
-    if (req.op == Op::kRead) {
-      reads_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!backend_status.ok()) {
-      c.status = backend_status;
-    } else {
-      fault::FaultOutcome out;
-      if (fault::Armed()) {
-        out = fault::FaultRegistry::Instance().EvaluateIo(
-            req.op == Op::kRead ? "aio.read" : "aio.write", "", req.len);
-        if (out.crash) fault::FaultRegistry::CrashNow();
-      }
-      Status err;
-      size_t first_cap = req.len;
-      if (AioFaultFails(out, req.len, &err, &first_cap)) {
-        c.status = err;
-      } else {
-        // Injected shortness trims what the backend is considered to have
-        // moved, so the fixup loop below runs on both backends.
-        if (first_cap < req.len) moved = std::min(moved, first_cap);
-        if (moved < req.len) {
-          if (moved > 0 || first_cap < req.len) {
-            short_fixups_.fetch_add(1, std::memory_order_relaxed);
-          }
-          AioRequest rest = req;
-          rest.buf = static_cast<char*>(req.buf) + moved;
-          rest.offset += moved;
-          rest.len = req.len - moved;
-          c.status = FullTransfer(rest, rest.len);
-        }
-        if (c.status.ok()) c.bytes = req.len;
-      }
-    }
-    if (!c.status.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-    io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-    mailbox_.Deliver(c, last);
-  }
-
-  uint64_t inflight() const {
-    return inflight_.load(std::memory_order_acquire);
-  }
-  void AddBusyNs(uint64_t ns) {
-    io_busy_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-
-  CompletionMailbox mailbox_;
-
- private:
-  std::atomic<uint64_t> inflight_{0};
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> short_fixups_{0};
-  std::atomic<uint64_t> max_inflight_{0};
-  std::atomic<uint64_t> io_busy_ns_{0};
-};
-
-// ---------------------------------------------------------------------------
-// ThreadPoolFileEngine: pread/pwrite workers — the universal fallback.
-
-class ThreadPoolFileEngine final : public EngineBase {
- public:
-  explicit ThreadPoolFileEngine(uint32_t workers) {
-    if (workers == 0) workers = 1;
-    workers_.reserve(workers);
-    for (uint32_t i = 0; i < workers; ++i) {
-      workers_.emplace_back(&ThreadPoolFileEngine::WorkerMain, this);
-    }
-  }
-
-  ~ThreadPoolFileEngine() override { Shutdown(); }
-
-  Status Submit(const AioRequest* reqs, uint32_t n) override {
-    if (n == 0) return Status::OK();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopped_) return Status::Aborted("async engine stopped");
-    NoteSubmitted(n);
-    for (uint32_t i = 0; i < n; ++i) queue_.push_back(reqs[i]);
-    if (n == 1) {
-      work_cv_.notify_one();
-    } else {
-      work_cv_.notify_all();
-    }
-    return Status::OK();
-  }
-
-  void Shutdown() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& t : workers_) t.join();
-    workers_.clear();
-  }
-
-  const char* backend() const override { return "pool"; }
-
- private:
-  void WorkerMain() {
-    for (;;) {
-      AioRequest req;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        work_cv_.wait(lk, [&] { return stopped_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopped and drained
-        req = queue_.front();
-        queue_.pop_front();
-      }
-      FinishRequest(req, Status::OK(), /*moved=*/0);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<AioRequest> queue_;
-  bool stopped_ = false;
-  std::vector<std::thread> workers_;
-};
 
 #if BESS_HAVE_URING
 
 // ---------------------------------------------------------------------------
 // UringFileEngine: raw io_uring syscalls, no liburing.
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// pread/pwrite the request whole, looping over short counts.
+Status FullTransfer(const AioRequest& req) {
+  char* p = static_cast<char*>(req.buf);
+  uint64_t off = req.offset;
+  size_t left = req.len;
+  while (left > 0) {
+    ssize_t r = req.op == Op::kRead
+                    ? pread(req.fd, p, left, static_cast<off_t>(off))
+                    : pwrite(req.fd, p, left, static_cast<off_t>(off));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string(req.op == Op::kRead ? "pread: "
+                                                             : "pwrite: ") +
+                             strerror(errno));
+    }
+    if (r == 0) {
+      // A write of 0 never terminates and a read of 0 is EOF mid-page:
+      // either way the transfer cannot complete — fail loudly rather than
+      // hand back a truncated page.
+      return Status::IOError("short transfer: no progress at offset " +
+                             std::to_string(off));
+    }
+    p += r;
+    off += static_cast<uint64_t>(r);
+    left -= static_cast<size_t>(r);
+  }
+  return Status::OK();
+}
 
 int SysUringSetup(unsigned entries, struct io_uring_params* p) {
   return static_cast<int>(syscall(__NR_io_uring_setup, entries, p));
@@ -312,9 +163,15 @@ int SysUringEnter(int fd, unsigned to_submit, unsigned min_complete,
                                   min_complete, flags, nullptr, 0));
 }
 
-class UringFileEngine final : public EngineBase {
+class UringFileEngine final : public AsyncFileEngine {
  public:
   ~UringFileEngine() override { Shutdown(); }
+
+  uint32_t Reap(AioCompletion* out, uint32_t max,
+                uint32_t timeout_ms) override {
+    return book_.Reap(out, max, timeout_ms);
+  }
+  AioStats stats() const override { return book_.stats(); }
 
   Status Init(uint32_t queue_depth) {
     // Ring sized at 2x the caller's depth so submission never has to spin
@@ -391,7 +248,7 @@ class UringFileEngine final : public EngineBase {
         pending_.emplace(ids[i], reqs[i]);
       }
     }
-    NoteSubmitted(n);
+    book_.Submitted(n);
 
     std::lock_guard<std::mutex> lk(sq_mu_);
     uint32_t done = 0;
@@ -462,8 +319,6 @@ class UringFileEngine final : public EngineBase {
     Unmap();
   }
 
-  const char* backend() const override { return "uring"; }
-
  private:
   Status CloseWithError(const char* what) {
     Status st = Status::IOError(std::string(what) + ": " + strerror(errno));
@@ -509,13 +364,15 @@ class UringFileEngine final : public EngineBase {
       unsigned head = __atomic_load_n(cq_head_, __ATOMIC_RELAXED);
       unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
       if (head == tail) {
-        if (stopped_.load(std::memory_order_acquire) && inflight() == 0) {
+        if (stopped_.load(std::memory_order_acquire) && Inflight() == 0) {
           return;
         }
         uint64_t t0 = NowNs();
         int ret =
             SysUringEnter(ring_fd_, 0, 1, IORING_ENTER_GETEVENTS);
-        if (inflight() > 0) AddBusyNs(NowNs() - t0);
+        if (Inflight() > 0) {
+          book_.io_busy_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+        }
         (void)ret;  // EINTR just re-loops
         continue;
       }
@@ -550,6 +407,39 @@ class UringFileEngine final : public EngineBase {
     }
   }
 
+  uint64_t Inflight() const {
+    return book_.inflight.load(std::memory_order_acquire);
+  }
+
+  /// Runs the per-request fault schedule, finishes the transfer (looping
+  /// over a short count) or fails it, and delivers the completion. `moved`
+  /// is what the kernel already transferred (cqe->res).
+  void FinishRequest(const AioRequest& req, Status st, size_t moved) {
+    const uint64_t t0 = NowNs();
+    (req.op == Op::kRead ? book_.reads : book_.writes)
+        .fetch_add(1, std::memory_order_relaxed);
+    size_t first_cap = req.len;
+    if (st.ok()) st = ApplyIoFault(req.op, req.len, &first_cap);
+    if (st.ok()) {
+      // Injected shortness trims what the kernel is considered to have
+      // moved, so the fixup loop below runs for it too.
+      moved = std::min(moved, first_cap);
+      if (moved < req.len) {
+        if (moved > 0 || first_cap < req.len) {
+          book_.short_fixups.fetch_add(1, std::memory_order_relaxed);
+        }
+        AioRequest rest = req;
+        rest.buf = static_cast<char*>(req.buf) + moved;
+        rest.offset += moved;
+        rest.len = req.len - moved;
+        st = FullTransfer(rest);
+      }
+    }
+    book_.io_busy_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+    book_.Complete(AioCompletion{req.user_data, st, st.ok() ? req.len : 0});
+  }
+
+  AioBook book_;
   int ring_fd_ = -1;
   unsigned sq_entries_ = 0;
   void* sq_ring_ptr_ = nullptr;
@@ -603,22 +493,14 @@ Result<std::unique_ptr<AsyncFileEngine>> AsyncFileEngine::Create(
   if (options.queue_depth == 0) {
     return Status::InvalidArgument("queue_depth must be > 0");
   }
-  if (options.backend != "auto" && options.backend != "uring" &&
-      options.backend != "pool") {
-    return Status::InvalidArgument("unknown async backend: " +
-                                   options.backend);
-  }
 #if BESS_HAVE_URING
-  if (options.backend != "pool" && UringSupported()) {
+  if (UringSupported()) {
     auto uring = std::make_unique<UringFileEngine>();
-    if (uring->Init(options.queue_depth).ok()) {
-      return std::unique_ptr<AsyncFileEngine>(std::move(uring));
-    }
-    // Setup raced with resource limits: fall through to the pool.
+    BESS_RETURN_IF_ERROR(uring->Init(options.queue_depth));
+    return std::unique_ptr<AsyncFileEngine>(std::move(uring));
   }
 #endif
-  return std::unique_ptr<AsyncFileEngine>(
-      std::make_unique<ThreadPoolFileEngine>(options.workers));
+  return Status::NotSupported("kernel has no io_uring");
 }
 
 }  // namespace aio

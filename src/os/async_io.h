@@ -1,33 +1,30 @@
-// Batched asynchronous file I/O: the engine room behind the push-based page
-// pipeline (DESIGN.md §13).
+// Batched asynchronous file I/O: the kernel-async engine behind the
+// push-based page pipeline (DESIGN.md §13).
 //
 // An AsyncFileEngine accepts a vector of read/write requests against raw
-// file descriptors and completes them out of band. Two implementations are
-// selected at runtime:
+// file descriptors and completes them out of band. Its one implementation
+// drives io_uring with raw syscalls (io_uring_setup / io_uring_enter — no
+// liburing dependency): one SQ writer at a time under a mutex, and a
+// dedicated reaper thread that blocks in IORING_ENTER_GETEVENTS and drains
+// the CQ. Short CQEs (a read or write that moved fewer bytes than asked) are
+// fixed up synchronously with pread/pwrite of the remainder, so callers
+// always see full-length completions or an error — never a silent prefix.
+// Create() returns NotSupported where the kernel has no io_uring; the page
+// layer (cache/async_page_io.h) then runs its worker pool instead.
 //
-//   - UringFileEngine: raw io_uring syscalls (io_uring_setup / io_uring_enter
-//     — no liburing dependency). One SQ writer at a time under a mutex; a
-//     dedicated reaper thread blocks in IORING_ENTER_GETEVENTS and drains the
-//     CQ. Short CQEs (a read or write that moved fewer bytes than asked) are
-//     fixed up synchronously with pread/pwrite of the remainder, so callers
-//     always see full-length completions or an error — never a silent prefix.
-//   - ThreadPoolFileEngine: a worker pool issuing the same pread/pwrite
-//     loops. This is the universal fallback (and the deterministic backend
-//     for sanitizer runs); semantics are identical by construction, which is
-//     what the parity tests in async_io_test.cc pin down.
+// The fault-injection layer reaches the engine and the page worker pool
+// through the same three points:
 //
-// Both engines are driven through the fault-injection layer via three
-// points, applied at completion time so the schedules see the same operation
-// order regardless of backend:
-//
-//   "aio.read" / "aio.write"  EvaluateIo per request. kFail => the request
-//       completes with that error. kShortWrite/kTornPage (bytes_allowed < n)
-//       => the engine behaves as if the kernel returned a short count: it
-//       loops to complete (counted in stats().short_fixups) and the caller
-//       sees a full-length success. kNoSpace fails the request outright.
-//   "aio.reorder"  plain Check per completion. A fired schedule defers that
-//       completion until after the next one is delivered (or until the queue
-//       drains), simulating out-of-order CQEs deterministically.
+//   "aio.read" / "aio.write"  evaluated per request by ApplyIoFault, the one
+//       site both backends call. kFail => the request completes with that
+//       error. kShortWrite/kTornPage (bytes_allowed < n) => the backend
+//       behaves as if the kernel returned a short count: it loops to
+//       complete (counted in stats().short_fixups) and the caller sees a
+//       full-length success. kNoSpace fails the request outright.
+//   "aio.reorder"  plain Check per completion (AioBook::Complete). A fired
+//       schedule defers that completion until after the next one is
+//       delivered (or until the queue drains), simulating out-of-order CQEs
+//       deterministically.
 //
 // Completion delivery is pull-based: callers Reap() into a small array.
 // Every accepted request produces exactly one completion, including after
@@ -42,11 +39,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "os/fault_injection.h"
 #include "util/status.h"
 
 namespace bess {
@@ -69,13 +62,12 @@ struct AioCompletion {
   size_t bytes = 0;  ///< bytes moved (== len on success)
 };
 
-/// Classifies an armed "aio.read"/"aio.write" EvaluateIo outcome for a
-/// request of `len` bytes. Returns true when the request must fail outright
-/// with *error. Otherwise *first_cap is the byte count the (emulated) kernel
-/// moves first — < len means an injected short completion the backend must
-/// loop whole (kShortWrite/kTornPage schedules; kNoSpace always fails).
-bool AioFaultFails(const fault::FaultOutcome& out, size_t len, Status* error,
-                   size_t* first_cap);
+/// Evaluates the "aio.read"/"aio.write" schedule for one request of `len`
+/// bytes. A non-OK return fails the request. Otherwise *first_cap is the
+/// byte count the (emulated) kernel moves first — < len means an injected
+/// short completion the backend must loop whole. One relaxed load when no
+/// fault is armed.
+Status ApplyIoFault(Op op, size_t len, size_t* first_cap);
 
 struct AioStats {
   uint64_t reads = 0;
@@ -84,46 +76,51 @@ struct AioStats {
   uint64_t short_fixups = 0;  ///< short kernel/injected counts looped whole
   uint64_t reorders = 0;      ///< completions deferred by "aio.reorder"
   uint64_t max_inflight = 0;
-  uint64_t io_busy_ns = 0;  ///< wall time spent inside syscalls (pool) or
+  uint64_t io_busy_ns = 0;  ///< wall time spent inside transfers (pool) or
                             ///< with a non-empty ring (uring) — the overlap
                             ///< numerator for bench_scan
-  uint64_t read_runs = 0;   ///< device read ops after request coalescing
-                            ///< (pool backend merges queued reads for
-                            ///< consecutive keys into one FetchRun; 0 when
-                            ///< the backend does not coalesce)
-  uint64_t write_runs = 0;  ///< device write ops after request coalescing
-                            ///< (pool backend merges queued writes for
-                            ///< consecutive keys — bgwriter batches sort by
-                            ///< key to line these up; 0 = no coalescing)
+  uint64_t read_runs = 0;   ///< device read ops after the pool merged
+                            ///< queued reads for consecutive keys into runs
+                            ///< (0 on io_uring, which does not coalesce)
+  uint64_t write_runs = 0;  ///< device write ops after the same merging
+                            ///< (bgwriter batches sort by key to line
+                            ///< these up; 0 on io_uring)
 };
 
-/// Completion mailbox shared by both engines. Applies the "aio.reorder"
-/// schedule on delivery; Reap flushes deferred completions on timeout or
-/// when the engine reports the queue drained, so a reordered completion can
-/// be late but never lost.
-class CompletionMailbox {
- public:
-  void Deliver(AioCompletion c, bool last_inflight);
+/// Bookkeeping shared by the io_uring engine and the page worker pool:
+/// in-flight accounting, the AioStats counters, and the completion mailbox.
+/// Complete() applies the "aio.reorder" schedule; Reap flushes deferred
+/// completions on timeout or once the queue drains, so a reordered
+/// completion can be late but never lost.
+struct AioBook {
+  void Submitted(uint32_t n);
+  /// Counts `c` (errors) and makes it reapable.
+  void Complete(const AioCompletion& c);
   uint32_t Reap(AioCompletion* out, uint32_t max, uint32_t timeout_ms);
-  uint64_t reorders() const {
-    return reorders_.load(std::memory_order_relaxed);
-  }
+  AioStats stats() const;
+
+  std::atomic<uint64_t> inflight{0};
+  std::atomic<uint64_t> max_inflight{0};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> writes{0};
+  std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> short_fixups{0};
+  std::atomic<uint64_t> reorders{0};
+  std::atomic<uint64_t> io_busy_ns{0};
+  std::atomic<uint64_t> read_runs{0};
+  std::atomic<uint64_t> write_runs{0};
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<AioCompletion> ready_;
   std::deque<AioCompletion> deferred_;
-  std::atomic<uint64_t> reorders_{0};
 };
 
 class AsyncFileEngine {
  public:
   struct Options {
-    /// "auto" picks uring when the kernel supports it, else pool.
-    std::string backend = "auto";
     uint32_t queue_depth = 16;  ///< max requests in flight
-    uint32_t workers = 4;       ///< pool backend only
   };
 
   virtual ~AsyncFileEngine() = default;
@@ -142,14 +139,13 @@ class AsyncFileEngine {
   /// produced remain reapable. Idempotent; the destructor calls it.
   virtual void Shutdown() = 0;
 
-  virtual const char* backend() const = 0;
   virtual AioStats stats() const = 0;
 
   /// True when this kernel accepts io_uring_setup (probed once per process).
   static bool UringSupported();
 
-  /// Builds the requested backend; "auto"/"uring" fall back to the pool
-  /// when io_uring is unavailable, so this only fails on bad arguments.
+  /// Builds the io_uring engine. NotSupported when the kernel has no
+  /// io_uring; an error when ring setup fails (e.g. resource limits).
   static Result<std::unique_ptr<AsyncFileEngine>> Create(
       const Options& options);
 };

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "obs/stats.h"
@@ -907,6 +908,20 @@ BessServer::Stats BessServer::stats() const {
   out.shed_log_full = stats_.shed_log_full.load(std::memory_order_relaxed);
   out.conns_rejected = stats_.conns_rejected.load(std::memory_order_relaxed);
   return out;
+}
+
+size_t BessServer::open_connections() const {
+  if (!running_.load() || reactor_ == nullptr) return 0;
+  auto count = std::make_shared<std::promise<size_t>>();
+  std::future<size_t> result = count->get_future();
+  Reactor* r = reactor_.get();
+  r->Post([r, count] { count->set_value(r->ConnCountOnEventThread()); });
+  // A Post racing Stop is dropped, breaking the promise: nothing is open.
+  try {
+    return result.get();
+  } catch (const std::future_error&) {
+    return 0;
+  }
 }
 
 size_t BessServer::live_sessions() const {

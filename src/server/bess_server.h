@@ -116,6 +116,9 @@ class BessServer {
   /// Sessions currently registered (leak checks: must return to baseline
   /// after clients disconnect).
   size_t live_sessions() const;
+  /// Connections the reactor holds open, read on its event thread (0 once
+  /// stopped). Leak checks wait for it to drain before counting fds.
+  size_t open_connections() const;
   /// Workers currently stuck past watchdog_ms (0 when healthy).
   int stuck_workers() const {
     return reactor_ != nullptr ? reactor_->stuck_workers() : 0;

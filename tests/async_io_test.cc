@@ -1,12 +1,15 @@
 // Tests for the batched async I/O pipeline (os/async_io.h,
-// cache/async_page_io.h, FrameTable::ScanRange): backend parity between the
-// io_uring engine and the worker-pool fallback, the fault matrix (io_error
-// mid-batch, short completions, completion reordering), and the push-based
-// scan path over both the in-memory store and real storage-area files.
+// cache/async_page_io.h, FrameTable::ScanRange): backend selection, parity
+// between the io_uring engine and the worker pool at the AsyncPageIo seam
+// the FrameTable uses, the fault matrix (io_error mid-batch, short
+// completions, completion reordering), and the push-based scan path over
+// both the in-memory store and real storage-area files.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,9 +45,10 @@ std::string PatternPage(uint32_t p) {
   return bytes;
 }
 
+uint64_t Key(uint32_t p) { return PageAddr{1, 0, p}.Pack(); }
+
 /// Reaps until `want` completions arrive (engines may deliver in dribbles).
-template <typename Engine>
-std::vector<aio::AioCompletion> ReapAll(Engine* eng, uint32_t want) {
+std::vector<aio::AioCompletion> ReapAll(AsyncPageIo* eng, uint32_t want) {
   std::vector<aio::AioCompletion> got;
   aio::AioCompletion buf[64];
   int idle = 0;
@@ -60,38 +64,74 @@ std::vector<aio::AioCompletion> ReapAll(Engine* eng, uint32_t want) {
   return got;
 }
 
-void RunEngineReadWriteBatch(const std::string& backend) {
-  const std::string path = TmpPath("aio_rw_" + backend);
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
-  const uint32_t kPages = 16;
-  ASSERT_TRUE(file->Truncate(kPages * kPageSize).ok());
-
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = backend;
-  eo.queue_depth = 8;
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
-  if (backend == "uring") {
-    ASSERT_STREQ((*eng)->backend(), "uring") << "kernel lost io_uring?";
+/// An AsyncPageIo over a fresh storage area holding `pages` patterned
+/// pages. "uring" passes the area as the raw source, which selects the
+/// io_uring engine; "pool" passes none, which selects the worker pool.
+class AreaIo {
+ public:
+  void Open(const std::string& backend, const std::string& name,
+            uint32_t pages) {
+    path_ = TmpPath(name + "_" + backend + ".bess");
+    auto area =
+        StorageArea::Create(path_, /*area_id=*/3, /*initial_extents=*/1);
+    ASSERT_TRUE(area.ok()) << area.status().ToString();
+    area_ = std::move(*area);
+    store_.AddArea(1, 3, area_.get());
+    for (uint32_t p = 0; p < pages; ++p) {
+      ASSERT_TRUE(store_.WritePages(1, 3, p, 1, PatternPage(p).data()).ok());
+    }
+    ASSERT_TRUE(area_->Sync().ok());
+    AsyncPageIoOptions opts;
+    opts.queue_depth = 8;
+    auto io = MakeAsyncPageIo(opts, &sync_,
+                              backend == "uring" ? &store_ : nullptr);
+    ASSERT_TRUE(io.ok()) << io.status().ToString();
+    io_ = std::move(*io);
+    ASSERT_STREQ(io_->backend(), backend.c_str());
   }
+
+  ~AreaIo() {
+    if (io_ != nullptr) io_->Shutdown();
+    io_.reset();
+    area_.reset();
+    if (!path_.empty()) (void)File::Remove(path_);
+  }
+
+  AsyncPageIo* io() { return io_.get(); }
+
+  static AsyncPageIo::Request Req(bool write, uint32_t page, void* buf,
+                                  uint64_t user_data) {
+    AsyncPageIo::Request r;
+    r.write = write;
+    r.key = PageAddr{1, 3, page}.Pack();
+    r.buf = buf;
+    r.user_data = user_data;
+    return r;
+  }
+
+ private:
+  std::string path_;
+  std::unique_ptr<StorageArea> area_;
+  AreaSegmentStore store_;
+  StorePageIo sync_{&store_};
+  std::unique_ptr<AsyncPageIo> io_;
+};
+
+void RunReadWriteBatch(const std::string& backend) {
+  const uint32_t kPages = 16;
+  AreaIo area;
+  ASSERT_NO_FATAL_FAILURE(area.Open(backend, "aio_rw", kPages));
+  AsyncPageIo* io = area.io();
 
   // One batched write of every page.
   std::vector<std::string> images;
-  std::vector<aio::AioRequest> reqs;
-  for (uint32_t p = 0; p < kPages; ++p) images.push_back(PatternPage(p));
+  std::vector<AsyncPageIo::Request> reqs;
+  for (uint32_t p = 0; p < kPages; ++p) images.push_back(PatternPage(p + 50));
   for (uint32_t p = 0; p < kPages; ++p) {
-    aio::AioRequest r;
-    r.op = aio::Op::kWrite;
-    r.fd = file->fd();
-    r.offset = static_cast<uint64_t>(p) * kPageSize;
-    r.buf = images[p].data();
-    r.len = kPageSize;
-    r.user_data = p;
-    reqs.push_back(r);
+    reqs.push_back(AreaIo::Req(true, p, images[p].data(), p));
   }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto wr = ReapAll(eng->get(), kPages);
+  ASSERT_TRUE(io->Submit(reqs.data(), kPages).ok());
+  auto wr = ReapAll(io, kPages);
   ASSERT_EQ(wr.size(), kPages);
   for (const auto& c : wr) {
     EXPECT_TRUE(c.status.ok()) << c.status.message();
@@ -101,11 +141,10 @@ void RunEngineReadWriteBatch(const std::string& backend) {
   // One batched read back; every page must match, every token exactly once.
   std::vector<std::string> out(kPages, std::string(kPageSize, 'x'));
   for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].op = aio::Op::kRead;
-    reqs[p].buf = out[p].data();
+    reqs[p] = AreaIo::Req(false, p, out[p].data(), p);
   }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto rd = ReapAll(eng->get(), kPages);
+  ASSERT_TRUE(io->Submit(reqs.data(), kPages).ok());
+  auto rd = ReapAll(io, kPages);
   ASSERT_EQ(rd.size(), kPages);
   std::set<uint64_t> seen;
   for (const auto& c : rd) {
@@ -115,62 +154,53 @@ void RunEngineReadWriteBatch(const std::string& backend) {
   }
   for (uint32_t p = 0; p < kPages; ++p) EXPECT_EQ(out[p], images[p]);
 
-  auto stats = (*eng)->stats();
+  auto stats = io->stats();
   EXPECT_EQ(stats.reads, kPages);
   EXPECT_EQ(stats.writes, kPages);
   EXPECT_EQ(stats.errors, 0u);
-  (*eng)->Shutdown();
-  (void)File::Remove(path);
 }
 
-TEST_F(AsyncIoTest, PoolEngineReadWriteBatch) { RunEngineReadWriteBatch("pool"); }
+TEST_F(AsyncIoTest, PoolEngineReadWriteBatch) { RunReadWriteBatch("pool"); }
 
 TEST_F(AsyncIoTest, UringEngineReadWriteBatch) {
   if (!aio::AsyncFileEngine::UringSupported()) {
     GTEST_SKIP() << "kernel has no io_uring";
   }
-  RunEngineReadWriteBatch("uring");
+  RunReadWriteBatch("uring");
 }
 
 // The same fault schedule must play out identically on both backends: the
 // parity contract that lets sanitizer runs pin bugs on the deterministic
 // pool while production runs uring.
 void RunIoErrorMidBatch(const std::string& backend) {
-  const std::string path = TmpPath("aio_err_" + backend);
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
   const uint32_t kPages = 6;
-  ASSERT_TRUE(file->Truncate(kPages * kPageSize).ok());
-
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = backend;
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
+  AreaIo area;
+  ASSERT_NO_FATAL_FAILURE(area.Open(backend, "aio_err", kPages));
+  AsyncPageIo* io = area.io();
 
   // Fail exactly one read in the middle of the batch.
   fault::FaultRegistry::Instance().Arm("aio.read",
                                        fault::FaultSpec::FailNth(3));
   std::vector<std::string> out(kPages, std::string(kPageSize, 'x'));
-  std::vector<aio::AioRequest> reqs(kPages);
+  std::vector<AsyncPageIo::Request> reqs;
   for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].op = aio::Op::kRead;
-    reqs[p].fd = file->fd();
-    reqs[p].offset = static_cast<uint64_t>(p) * kPageSize;
-    reqs[p].buf = out[p].data();
-    reqs[p].len = kPageSize;
-    reqs[p].user_data = p;
+    reqs.push_back(AreaIo::Req(false, p, out[p].data(), p));
   }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto cs = ReapAll(eng->get(), kPages);
+  ASSERT_TRUE(io->Submit(reqs.data(), kPages).ok());
+  auto cs = ReapAll(io, kPages);
   ASSERT_EQ(cs.size(), kPages);
   uint32_t failed = 0;
   for (const auto& c : cs) {
-    if (!c.status.ok()) ++failed;
+    if (!c.status.ok()) {
+      ++failed;
+    } else {
+      EXPECT_EQ(out[c.user_data],
+                PatternPage(static_cast<uint32_t>(c.user_data)))
+          << "a neighbour of the failed request must still land whole";
+    }
   }
   EXPECT_EQ(failed, 1u) << "exactly the scheduled request fails";
-  EXPECT_EQ((*eng)->stats().errors, 1u);
-  (*eng)->Shutdown();
-  (void)File::Remove(path);
+  EXPECT_EQ(io->stats().errors, 1u);
 }
 
 TEST_F(AsyncIoTest, PoolIoErrorMidBatchFailsOnlyThatRequest) {
@@ -185,19 +215,11 @@ TEST_F(AsyncIoTest, UringIoErrorMidBatchFailsOnlyThatRequest) {
 }
 
 void RunShortCompletionLoopsWhole(const std::string& backend) {
-  const std::string path = TmpPath("aio_short_" + backend);
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file->Truncate(4 * kPageSize).ok());
-  const std::string image = PatternPage(7);
-  ASSERT_TRUE(file->WriteAt(2 * kPageSize, image.data(), kPageSize).ok());
+  AreaIo area;
+  ASSERT_NO_FATAL_FAILURE(area.Open(backend, "aio_short", 4));
+  AsyncPageIo* io = area.io();
 
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = backend;
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
-
-  // Every aio read completes short (100 bytes) until disarmed; the engine
+  // Every aio read completes short (100 bytes) until disarmed; the backend
   // must loop each one to full length and still report one completion.
   fault::FaultSpec shortread;
   shortread.action = fault::FaultAction::kShortWrite;
@@ -205,22 +227,14 @@ void RunShortCompletionLoopsWhole(const std::string& backend) {
   fault::FaultRegistry::Instance().Arm("aio.read", shortread);
 
   std::string out(kPageSize, 'x');
-  aio::AioRequest r;
-  r.op = aio::Op::kRead;
-  r.fd = file->fd();
-  r.offset = 2 * kPageSize;
-  r.buf = out.data();
-  r.len = kPageSize;
-  r.user_data = 42;
-  ASSERT_TRUE((*eng)->Submit(&r, 1).ok());
-  auto cs = ReapAll(eng->get(), 1);
+  const AsyncPageIo::Request r = AreaIo::Req(false, 2, out.data(), 42);
+  ASSERT_TRUE(io->Submit(&r, 1).ok());
+  auto cs = ReapAll(io, 1);
   ASSERT_EQ(cs.size(), 1u);
   EXPECT_TRUE(cs[0].status.ok()) << cs[0].status.message();
   EXPECT_EQ(cs[0].bytes, kPageSize) << "caller never sees a prefix";
-  EXPECT_EQ(out, image);
-  EXPECT_GE((*eng)->stats().short_fixups, 1u);
-  (*eng)->Shutdown();
-  (void)File::Remove(path);
+  EXPECT_EQ(out, PatternPage(2));
+  EXPECT_GE(io->stats().short_fixups, 1u);
 }
 
 TEST_F(AsyncIoTest, PoolShortCompletionLoopsToFullLength) {
@@ -234,47 +248,128 @@ TEST_F(AsyncIoTest, UringShortCompletionLoopsToFullLength) {
   RunShortCompletionLoopsWhole("uring");
 }
 
-TEST_F(AsyncIoTest, ReorderedCompletionsDeliveredExactlyOnce) {
-  const std::string path = TmpPath("aio_reorder");
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
+void RunReorderedCompletions(const std::string& backend) {
   const uint32_t kPages = 12;
-  ASSERT_TRUE(file->Truncate(kPages * kPageSize).ok());
+  AreaIo area;
+  ASSERT_NO_FATAL_FAILURE(area.Open(backend, "aio_reorder", kPages));
+  AsyncPageIo* io = area.io();
 
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = "pool";
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
-
-  // Defer every third completion: CQEs arrive out of submission order.
-  fault::FaultSpec reorder;
-  reorder.probability = 1.0;
-  reorder.skip = 0;
-  reorder.count = -1;
-  fault::FaultSpec every3 = reorder;
+  // Defer every third completion: completions arrive out of submission
+  // order.
+  fault::FaultSpec every3;
   every3.probability = 0.34;
+  every3.skip = 0;
+  every3.count = -1;
   fault::FaultRegistry::Instance().Arm("aio.reorder", every3);
 
   std::vector<std::string> out(kPages, std::string(kPageSize, 'x'));
-  std::vector<aio::AioRequest> reqs(kPages);
+  std::vector<AsyncPageIo::Request> reqs;
   for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].op = aio::Op::kRead;
-    reqs[p].fd = file->fd();
-    reqs[p].offset = static_cast<uint64_t>(p) * kPageSize;
-    reqs[p].buf = out[p].data();
-    reqs[p].len = kPageSize;
-    reqs[p].user_data = 1000 + p;
+    reqs.push_back(AreaIo::Req(false, p, out[p].data(), 1000 + p));
   }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto cs = ReapAll(eng->get(), kPages);
+  ASSERT_TRUE(io->Submit(reqs.data(), kPages).ok());
+  auto cs = ReapAll(io, kPages);
   ASSERT_EQ(cs.size(), kPages) << "a deferred completion must never be lost";
   std::set<uint64_t> seen;
   for (const auto& c : cs) {
     EXPECT_TRUE(seen.insert(c.user_data).second)
         << "duplicate delivery of " << c.user_data;
   }
-  (*eng)->Shutdown();
+}
+
+TEST_F(AsyncIoTest, ReorderedCompletionsDeliveredExactlyOnce) {
+  RunReorderedCompletions("pool");
+}
+
+TEST_F(AsyncIoTest, UringReorderedCompletionsDeliveredExactlyOnce) {
+  if (!aio::AsyncFileEngine::UringSupported()) {
+    GTEST_SKIP() << "kernel has no io_uring";
+  }
+  RunReorderedCompletions("uring");
+}
+
+// The backend follows the inputs: no raw source means the worker pool; a
+// raw source on a kernel with io_uring means the uring engine.
+TEST_F(AsyncIoTest, BackendFollowsRawSource) {
+  const std::string path = TmpPath("aio_select.bess");
+  auto area = StorageArea::Create(path, /*area_id=*/3, /*initial_extents=*/1);
+  ASSERT_TRUE(area.ok());
+  AreaSegmentStore raw;
+  raw.AddArea(1, 3, area->get());
+  StorePageIo sync_io(&raw);
+
+  auto pool = MakeAsyncPageIo(AsyncPageIoOptions{}, &sync_io, nullptr);
+  ASSERT_TRUE(pool.ok());
+  EXPECT_STREQ((*pool)->backend(), "pool");
+  (*pool)->Shutdown();
+
+  auto with_raw = MakeAsyncPageIo(AsyncPageIoOptions{}, &sync_io, &raw);
+  ASSERT_TRUE(with_raw.ok());
+  EXPECT_STREQ((*with_raw)->backend(),
+               aio::AsyncFileEngine::UringSupported() ? "uring" : "pool");
+  (*with_raw)->Shutdown();
+
+  auto engine = aio::AsyncFileEngine::Create(aio::AsyncFileEngine::Options{});
+  if (aio::AsyncFileEngine::UringSupported()) {
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  } else {
+    EXPECT_EQ(engine.status().code(), StatusCode::kNotSupported);
+  }
   (void)File::Remove(path);
+}
+
+/// Synchronous PageIo over an in-memory store that counts device calls.
+class CountingIo : public StorePageIo {
+ public:
+  using StorePageIo::StorePageIo;
+  Status Fetch(uint64_t key, void* buf) override {
+    ++fetches;
+    return StorePageIo::Fetch(key, buf);
+  }
+  Status Write(uint64_t key, const void* buf) override {
+    ++writes;
+    return StorePageIo::Write(key, buf);
+  }
+  std::atomic<int> fetches{0};
+  std::atomic<int> writes{0};
+};
+
+// An injected short count on a single request is looped whole by the one
+// transfer the pool already makes: one Fetch per read, one Write per write.
+TEST_F(AsyncIoTest, PoolShortCountCostsOneTransfer) {
+  InMemoryStore store;
+  ASSERT_TRUE(store.WritePages(1, 0, 0, 1, PatternPage(0).data()).ok());
+  CountingIo sync_io(&store);
+  auto io = MakeAsyncPageIo(AsyncPageIoOptions{}, &sync_io, nullptr);
+  ASSERT_TRUE(io.ok());
+
+  fault::FaultSpec shorted;
+  shorted.action = fault::FaultAction::kShortWrite;
+  shorted.max_bytes = 100;
+  fault::FaultRegistry::Instance().Arm("aio.read", shorted);
+  fault::FaultRegistry::Instance().Arm("aio.write", shorted);
+
+  std::string out(kPageSize, 'x');
+  AsyncPageIo::Request r;
+  r.key = Key(0);
+  r.buf = out.data();
+  ASSERT_TRUE((*io)->Submit(&r, 1).ok());
+  auto rd = ReapAll(io->get(), 1);
+  ASSERT_EQ(rd.size(), 1u);
+  EXPECT_TRUE(rd[0].status.ok()) << rd[0].status.message();
+  EXPECT_EQ(out, PatternPage(0));
+  EXPECT_EQ(sync_io.fetches.load(), 1);
+
+  std::string image = PatternPage(9);
+  r.write = true;
+  r.buf = image.data();
+  ASSERT_TRUE((*io)->Submit(&r, 1).ok());
+  auto wr = ReapAll(io->get(), 1);
+  ASSERT_EQ(wr.size(), 1u);
+  EXPECT_TRUE(wr[0].status.ok()) << wr[0].status.message();
+  EXPECT_EQ(sync_io.writes.load(), 1);
+  EXPECT_EQ((*io)->stats().short_fixups, 2u);
+  (*io)->Shutdown();
 }
 
 // ---- AsyncPageIo over stores ------------------------------------------------
@@ -285,15 +380,11 @@ void SeedStore(InMemoryStore* store, uint32_t pages) {
   }
 }
 
-uint64_t Key(uint32_t p) { return PageAddr{1, 0, p}.Pack(); }
-
 TEST_F(AsyncIoTest, WorkerPoolPageIoReadsThroughSyncStore) {
   InMemoryStore store;
   SeedStore(&store, 8);
   StorePageIo sync_io(&store);
-  AsyncPageIoOptions opts;
-  opts.backend = "pool";
-  auto io = MakeAsyncPageIo(opts, &sync_io, nullptr);
+  auto io = MakeAsyncPageIo(AsyncPageIoOptions{}, &sync_io, nullptr);
   ASSERT_TRUE(io.ok());
   EXPECT_STREQ((*io)->backend(), "pool");
 
@@ -326,9 +417,7 @@ TEST_F(AsyncIoTest, FileEnginePageIoKeepsIntegrityEnvelope) {
   raw.AddArea(1, 3, area->get());
   StorePageIo sync_io(&raw);
 
-  AsyncPageIoOptions opts;
-  opts.backend = aio::AsyncFileEngine::UringSupported() ? "auto" : "pool";
-  auto io = MakeAsyncPageIo(opts, &sync_io, &raw);
+  auto io = MakeAsyncPageIo(AsyncPageIoOptions{}, &sync_io, &raw);
   ASSERT_TRUE(io.ok());
 
   // Async-write four pages, then async-read them back.
@@ -384,9 +473,7 @@ TEST_F(AsyncIoTest, ScanRangeDeliversInOrderAndCountsPrefetchHits) {
   InMemoryStore store;
   SeedStore(&store, 64);
   StorePageIo sync_io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
+  auto aio_io = MakeAsyncPageIo(AsyncPageIoOptions{}, &sync_io, nullptr);
   ASSERT_TRUE(aio_io.ok());
 
   HeapPlacement placement(16);
@@ -419,9 +506,7 @@ TEST_F(AsyncIoTest, ScanRangeSurvivesIoErrorAndReorderSchedules) {
   InMemoryStore store;
   SeedStore(&store, 64);
   StorePageIo sync_io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
+  auto aio_io = MakeAsyncPageIo(AsyncPageIoOptions{}, &sync_io, nullptr);
   ASSERT_TRUE(aio_io.ok());
 
   HeapPlacement placement(16);
@@ -474,12 +559,13 @@ TEST_F(AsyncIoTest, CachedStoreScanPagesPushesOverAreaFiles) {
 
   CachedSegmentStore::Options copts;
   copts.frame_count = 24;
-  copts.async_backend = "auto";
+  copts.use_async = true;
   copts.async_queue_depth = 8;
   copts.raw_source = &inner;
   CachedSegmentStore cache(&inner, copts);
   ASSERT_TRUE(cache.Init().ok());
-  EXPECT_STRNE(cache.async_backend(), "off");
+  EXPECT_STREQ(cache.async_backend(),
+               aio::AsyncFileEngine::UringSupported() ? "uring" : "pool");
 
   std::vector<uint32_t> order;
   Status st = cache.ScanPages(1, 0, 0, kPages,

@@ -763,9 +763,7 @@ TEST(FrameTableTest, AsyncBgwriterBatchesPayOneWalGatePerBatch) {
   InMemoryStore store;
   SeedStore(&store, 64);
   WalGateCountingIo io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &io, nullptr);
+  auto aio_io = MakeAsyncPageIo(AsyncPageIoOptions{}, &io, nullptr);
   ASSERT_TRUE(aio_io.ok());
 
   HeapPlacement placement(8);
@@ -812,9 +810,7 @@ TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
   InMemoryStore store;
   SeedStore(&store, 256);
   StorePageIo io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &io, nullptr);
+  auto aio_io = MakeAsyncPageIo(AsyncPageIoOptions{}, &io, nullptr);
   ASSERT_TRUE(aio_io.ok());
 
   HeapPlacement placement(8);

@@ -610,6 +610,18 @@ TEST_F(TortureTest, ReactorChaosLeaksNoSessionsFdsOrLocks) {
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
     (void)warm->Send(kMsgGoodbye, "");
   }
+  // The server closes its end of the warm-up connection asynchronously:
+  // count the baseline only once it has.
+  const auto drained = [&server] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.open_connections() != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return server.open_connections();
+  };
+  ASSERT_EQ(drained(), 0u) << "warm-up connection never closed";
   size_t fd_baseline = 0;
   for (auto it = std::filesystem::directory_iterator("/proc/self/fd");
        it != std::filesystem::directory_iterator(); ++it) {
@@ -742,6 +754,8 @@ TEST_F(TortureTest, ReactorChaosLeaksNoSessionsFdsOrLocks) {
         << "lock " << key << " leaked by a dead session";
   }
   (void)probe->Send(kMsgGoodbye, "");
+  probe->Close();  // the probe is the harness's fd, not the server's
+  EXPECT_EQ(drained(), 0u) << "connections leaked after chaos";
 
   size_t fds = 0;
   const auto fd_deadline =
